@@ -1,19 +1,21 @@
 """Benchmark the ``repro serve`` service: cold vs warm latency, dedup.
 
-The service's reason to exist is amortisation: the first request pays
-frontend parsing, code generation and buffer-arena growth; every
-subsequent request of the same pipeline shape rides the shared
-:class:`~repro.cache.CompilationCache` and a warm per-worker
-:class:`~repro.graph.pool.BufferPool`.  This benchmark measures exactly
-that contract over the real HTTP path:
+The service's reason to exist is amortisation: the first request of a
+pipeline structure pays frontend parsing, code generation and the
+execution-plan build; every subsequent request of that structure binds
+its pixels into an idle cached
+:class:`~repro.graph.scheduler.ExecutionPlan` and runs it.  This
+benchmark measures exactly that contract over the real HTTP path:
 
 * **cold** — the first request against a fresh server (includes every
   compile);
 * **warm** — N requests with *distinct* image payloads (distinct
   fingerprints, so each one executes — no dedup shortcut), reported as
-  p50/p99 and requests/second.  The ``/metrics`` deltas across the warm
-  phase must show **zero cache misses** (no compiler invocations) and
-  **zero arena allocations** — violations fail the run;
+  p50/p99 and requests/second, plus ``warm_overhead_ms``: the median
+  of each request's latency minus its ``meta.execute_wall_ms``, i.e.
+  everything that is not execution.  The ``/metrics`` deltas across
+  the warm phase must show **zero cache misses** (no compiler
+  invocations) and **zero plan builds** — violations fail the run;
 * **dedup** — a concurrent burst of identical requests; the dedup rate
   is ``serve.dedup_hits / burst`` (all but one answered without an
   execution of their own).
@@ -106,7 +108,7 @@ def _run(client, size, warm_requests, burst, pipeline):
     cold_result = client.execute(frames[0], pipeline=pipeline)
     cold_ms = (time.perf_counter() - t0) * 1e3
 
-    # -- warm-up sweep so every worker's arena has grown ----------------
+    # -- warm-up sweep so the plan cache holds this structure -----------
     warmup = _frames(4, size, seed=977)
     threads = [threading.Thread(
         target=client.execute, args=(frame,),
@@ -120,16 +122,19 @@ def _run(client, size, warm_requests, burst, pipeline):
 
     # -- warm: distinct payloads, sequential, per-request latency -------
     latencies = []
+    overheads = []
     for frame in frames[1:]:
         t0 = time.perf_counter()
-        client.execute(frame, pipeline=pipeline)
+        result = client.execute(frame, pipeline=pipeline)
         latencies.append((time.perf_counter() - t0) * 1e3)
+        overheads.append(latencies[-1]
+                         - result.meta.get("execute_wall_ms", 0.0))
 
     after = client.metrics()
     warm_misses = (_metric(after, "cache", "cache.ir.misses")
                    - _metric(before, "cache", "cache.ir.misses"))
-    warm_allocs = (_metric(after, "pool", "pool.allocs")
-                   - _metric(before, "pool", "pool.allocs"))
+    warm_builds = (_metric(after, "serve", "serve.plan_builds")
+                   - _metric(before, "serve", "serve.plan_builds"))
 
     # -- dedup: identical concurrent burst ------------------------------
     frame = _frames(1, size, seed=4242)[0]
@@ -169,10 +174,11 @@ def _run(client, size, warm_requests, burst, pipeline):
         "cold_ms": round(cold_ms, 3),
         "warm_p50_ms": round(warm_p50, 3),
         "warm_p99_ms": round(warm_p99, 3),
+        "warm_overhead_ms": round(statistics.median(overheads), 3),
         "warm_rps": round(1.0 / warm_mean_s, 1),
         "cold_over_warm_p50": round(cold_ms / warm_p50, 2),
         "warm_cache_misses": warm_misses,
-        "warm_pool_allocs": warm_allocs,
+        "warm_plan_builds": warm_builds,
         "dedup_burst": burst,
         "dedup_hits": dedup_hits,
         "dedup_rate": round(dedup_hits / burst, 3),
@@ -191,21 +197,23 @@ def report(headline) -> None:
     print(f"warm p99             {headline['warm_p99_ms']:>9.2f} ms")
     print(f"warm throughput      {headline['warm_rps']:>9.1f} req/s")
     print(f"warm cache misses    {headline['warm_cache_misses']:>9.0f}")
-    print(f"warm arena allocs    {headline['warm_pool_allocs']:>9.0f}")
+    print(f"warm overhead p50    {headline['warm_overhead_ms']:>9.2f} ms"
+          "   (latency minus execution)")
+    print(f"warm plan builds     {headline['warm_plan_builds']:>9.0f}")
     print(f"dedup                {headline['dedup_hits']:.0f}/"
           f"{headline['dedup_burst']} requests answered by one "
           f"execution (rate {headline['dedup_rate']:.2f})")
 
     # the serving contract, enforced where it is measured: the warm
-    # path must never invoke the compiler or grow an arena, and a
+    # path must never invoke the compiler or build a plan, and a
     # concurrent identical burst must coalesce (the *exactly one
     # execution* version of this claim is pinned in tests/test_serve.py
     # with a deterministic batching window; over a real socket the
     # burst can straddle windows, so only require that dedup happened)
     assert headline["warm_cache_misses"] == 0, \
         f"warm path compiled: {headline['warm_cache_misses']} misses"
-    assert headline["warm_pool_allocs"] == 0, \
-        f"warm path allocated: {headline['warm_pool_allocs']} arenas"
+    assert headline["warm_plan_builds"] == 0, \
+        f"warm path built {headline['warm_plan_builds']} plans"
     assert headline["dedup_hits"] > 0, \
         "identical concurrent burst produced no dedup at all"
 

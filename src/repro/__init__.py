@@ -95,8 +95,10 @@ from .runtime import CompiledKernel, compile_ir, compile_kernel  # noqa: F401
 from .runtime.reduce import CompiledReduction, compile_reduction  # noqa: F401
 from .graph import (  # noqa: F401
     BufferPool,
+    ExecutionPlan,
     GraphReport,
     PipelineGraph,
+    build_plan,
     execute_graph,
     fuse_point_ops,
     pipe,
@@ -130,6 +132,7 @@ __all__ = [
     "Reduce",
     "Uniform",
     "BufferPool",
+    "ExecutionPlan",
     "GraphError",
     "GraphReport",
     "PipelineGraph",
@@ -142,6 +145,7 @@ __all__ = [
     "compile_ir",
     "compile_kernel",
     "compile_reduction",
+    "build_plan",
     "execute_graph",
     "fuse_point_ops",
     "pipe",

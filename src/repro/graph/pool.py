@@ -194,8 +194,9 @@ class BufferPool:
         return len(live)
 
     def reset(self) -> int:
-        """Prepare the arena for the next independent run (``repro
-        serve`` resets each worker's pool between requests).
+        """Prepare the arena for the next independent run (an
+        :class:`~repro.graph.scheduler.ExecutionPlan` resets its arena
+        before every rerun).
 
         Every live binding returns to the free lists and the *per-run*
         accounting (``naive_bytes``/``peak_bytes``/``current_bytes``)

@@ -61,6 +61,17 @@ NATIVE_SPANS = ("native.compile", "native.exec")
 #: ``fingerprint`` attr instead.
 SERVE_SPANS = ("serve.request", "serve.plan", "serve.exec")
 
+#: Counters of the ``serve.*`` metrics namespace
+#: (:class:`repro.serve.service.ServeStats`).  ``serve.plan_hits`` and
+#: ``serve.plan_builds`` split executions by whether the worker reused a
+#: cached execution plan or built one (each build runs fusion and
+#: every compile); ``serve.plan_evictions`` counts plans dropped by the
+#: service's byte-bounded plan LRU.
+SERVE_COUNTERS = ("requests", "batched", "dedup_hits", "shed",
+                  "completed", "errors", "timeouts", "cancelled",
+                  "executions", "drained", "plan_hits", "plan_builds",
+                  "plan_evictions")
+
 #: Span names the abstract interpreter emits (:mod:`repro.lint.absint`
 #: and :mod:`repro.lint.footprint`): ``absint.fixpoint`` wraps one
 #: fixpoint run over a kernel CFG (attrs: ``kernel``) and

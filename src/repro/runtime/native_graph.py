@@ -680,6 +680,10 @@ class NativeGraphExecutor:
             self._ptrs[j] = buf.ctypes.data
         self._slab_ptr = ctypes.c_void_p(self._slab.ctypes.data)
 
+    @property
+    def nbytes(self) -> int:
+        return self._slab.nbytes + sum(buf.nbytes for buf in self._ext)
+
     def run_segment(self, k: int) -> None:
         plan = self.module.plan
         touched, written = plan.seg_io[k]

@@ -13,8 +13,9 @@ process:
 * :mod:`repro.serve.service` — the request queue: batching window,
   fingerprint dedup, bounded queue with load shedding, per-request
   timeouts, a worker pool sharing one process-wide
-  :class:`~repro.cache.CompilationCache` and per-worker
-  :class:`~repro.graph.pool.BufferPool` arenas reset between requests;
+  :class:`~repro.cache.CompilationCache`, each worker keeping an LRU of
+  built :class:`~repro.graph.scheduler.ExecutionPlan` per request
+  structure;
 * :mod:`repro.serve.server` — the stdlib-only threading HTTP front door
   (``POST /v1/execute``, ``GET /metrics``, ``GET /healthz``) with
   graceful SIGTERM drain;
@@ -37,6 +38,7 @@ from .protocol import (                          # noqa: F401
     ProtocolError,
     decode_image,
     encode_image,
+    plan_key,
     request_fingerprint,
 )
 from .server import create_server, run_server    # noqa: F401

@@ -11,11 +11,12 @@ Two request shapes plan into a :class:`~repro.graph.PipelineGraph`:
   ``{"op": "gaussian", "size": 5}`` or ``{"op": "scale", "factor": 2}``.
 
 Planning is **pure construction**: nothing compiles or executes here,
-so a plan is cheap enough to build per request and a malformed spec
-fails fast with :class:`PlanError` (HTTP 400) before touching the
-worker pool.  Two requests with equal fingerprints plan into
-structurally identical graphs, which is what lets the service share one
-execution between them and lets every compile hit the shared cache.
+and a malformed spec fails fast with :class:`PlanError` (HTTP 400).
+Two requests with equal :func:`~repro.serve.protocol.plan_key` plan
+into structurally identical graphs that differ only in their source
+pixels, which is what lets a worker build the
+:class:`~repro.graph.scheduler.ExecutionPlan` once and rebind it for
+every later request of that structure.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ class PlanError(ProtocolError):
 
 @dataclasses.dataclass
 class Plan:
-    """An executable unit: the graph, its output image, and the
-    scheduler options the request selected."""
+    """An executable unit: the graph, its source and output images, and
+    the scheduler options the request selected."""
 
     graph: PipelineGraph
+    source: Image
     output: Image
     engine: str
     device: str
@@ -291,5 +293,5 @@ def plan_request(body: Dict[str, Any], data: np.ndarray) -> Plan:
     if len(outputs) != 1:
         raise PlanError(
             f"pipeline produced {len(outputs)} outputs, expected 1")
-    return Plan(graph=graph, output=outputs[0], engine=engine,
-                device=device, backend=backend)
+    return Plan(graph=graph, source=src, output=outputs[0],
+                engine=engine, device=device, backend=backend)

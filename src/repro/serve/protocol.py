@@ -25,6 +25,8 @@ canonicalised request *including a digest of the pixel bytes*, so two
 requests coalesce only when they would provably compute the same result
 (same work, same target, same input pixels).  The ``timeout_ms`` field
 is deliberately excluded — it affects scheduling, not the answer.
+:func:`plan_key` is the same document without the pixel digest: the
+key of a worker's cached execution plans.
 """
 
 from __future__ import annotations
@@ -160,6 +162,22 @@ def request_fingerprint(body: Dict[str, Any],
     doc["protocol"] = PROTOCOL_VERSION
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest(), image_digest
+
+
+def plan_key(body: Dict[str, Any], default_engine: str = "auto") -> str:
+    """The *structure* of *body*: its canonical work description plus
+    the image dtype and shape, without the pixels.  Requests with equal
+    keys plan into identical graphs, so one built
+    :class:`~repro.graph.scheduler.ExecutionPlan` serves all of them."""
+    doc = _canonical_work(body, default_engine)
+    image = body.get("image")
+    if not isinstance(image, dict):
+        raise ProtocolError("request missing 'image' payload")
+    doc["dtype"] = str(image.get("dtype"))
+    doc["shape"] = str(image.get("shape"))
+    doc["protocol"] = PROTOCOL_VERSION
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def error_response(code: str, message: str, **extra: Any

@@ -4,7 +4,7 @@ Lifecycle of one request::
 
     handle() -> submit() -> [bounded queue] -> dispatcher thread
         -> batching window -> group by fingerprint -> worker pool
-        -> plan + execute (once per group) -> wake every waiter
+        -> bind + run the cached plan (once per group) -> wake every waiter
 
 The **dispatcher** is a single thread that sleeps until work arrives,
 keeps collecting for ``batch_window_ms`` so concurrent identical
@@ -15,14 +15,19 @@ and every member request receives the same response document
 (``serve.dedup_hits`` counts the members that got an answer without an
 execution of their own).
 
-Every worker thread owns a :class:`~repro.graph.pool.BufferPool` arena
-(thread-local) that is :meth:`~repro.graph.pool.BufferPool.reset`
-between requests — buffers go back to the free lists but the arenas
-stay allocated, so a warm worker executes without touching the
-allocator.  All workers share one process-wide
-:class:`~repro.cache.CompilationCache`; the cache's per-key
-single-flight locking guarantees N concurrent misses of the same kernel
-compile exactly once.
+The service keeps one LRU of idle built
+:class:`~repro.graph.scheduler.ExecutionPlan` objects keyed by request
+*structure* (:func:`~repro.serve.protocol.plan_key`: the work, target,
+engine and image dtype/shape, not the pixels) and bounded by
+:data:`PLAN_CACHE_BYTES`.  A request whose structure has no idle plan
+builds one — validate, fuse, compile, native module, memory layout;
+otherwise the worker takes an idle plan, copies the decoded pixels into
+its source image, runs it and encodes the output.  A plan is out of the
+LRU while it runs and goes back before its waiters are woken, so no plan
+ever runs on two threads, and concurrent requests of one structure each
+run their own copy.  All workers share one process-wide
+:class:`~repro.cache.CompilationCache`, whose per-key single-flight
+locking makes N concurrent builds of the same kernel compile it once.
 
 Robustness is explicit state, not best effort:
 
@@ -34,7 +39,7 @@ Robustness is explicit state, not best effort:
   given up before execution starts is cancelled without executing;
 * :meth:`ServeService.drain` (SIGTERM) stops intake, rejects whatever
   is still queued as retriable (HTTP 503), waits for in-flight groups
-  to finish, and leaves the cache/arenas intact for inspection.
+  to finish, and leaves the cache and plans intact for inspection.
 """
 
 from __future__ import annotations
@@ -46,14 +51,31 @@ import time
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..cache import CompilationCache
-from ..graph.pool import BufferPool
-from ..graph.scheduler import execute_graph
+from ..dsl.image import Image
+from ..graph.pool import PoolStats
+from ..graph.scheduler import ExecutionPlan, build_plan
 from ..obs import get_registry, span
 from ..obs.hist import get_histograms, observe
 from ..obs.log import log_event, new_request_id
+from ..obs.schema import SERVE_COUNTERS
 from .planner import plan_request
 from .protocol import (PROTOCOL_VERSION, ProtocolError, decode_image,
-                       encode_image, error_response, request_fingerprint)
+                       encode_image, error_response, plan_key,
+                       request_fingerprint)
+
+#: budget of the service's idle execution plans, in bytes.  Each plan
+#: is charged its pixel memory (:attr:`ExecutionPlan.nbytes`) plus
+#: :data:`PLAN_ENTRY_BYTES` for the graph, compiled kernels and native
+#: module it pins; a plan larger than the whole budget runs once and is
+#: not kept.  64 MiB is the smallest power of two that keeps one 1024²
+#: ``edge`` plan (``nbytes`` 40 MiB native, 36 MiB simulator)
+PLAN_CACHE_BYTES = 64 * 1024 * 1024
+#: above the resident memory a kept ``edge`` plan holds beyond its
+#: ``nbytes``: about 40 KiB (simulator) and 190 KiB (native) at 64²
+PLAN_ENTRY_BYTES = 256 * 1024
+
+#: the cumulative ``pool.*`` counters; the others are per-run gauges
+_POOL_TOTALS = ("pool.allocs", "pool.reuses", "pool.releases")
 
 
 class ServeRejected(RuntimeError):
@@ -122,9 +144,7 @@ class ServeConfig:
 class ServeStats:
     """Thread-safe counters for the ``serve.*`` metrics namespace."""
 
-    _FIELDS = ("requests", "batched", "dedup_hits", "shed", "completed",
-               "errors", "timeouts", "cancelled", "executions",
-               "drained")
+    _FIELDS = SERVE_COUNTERS
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -139,6 +159,94 @@ class ServeStats:
         with self._lock:
             return {field: getattr(self, field)
                     for field in self._FIELDS}
+
+
+@dataclasses.dataclass
+class _CachedPlan:
+    """A built plan for one request structure."""
+
+    plan: ExecutionPlan
+    source: Image
+    output: Image
+    nbytes: int
+
+
+class _PlanCache:
+    """The service's LRU of idle execution plans, bounded by plan bytes.
+
+    Each key holds a list of idle plans: :meth:`take` hands one out for
+    a run and :meth:`put` returns it, so a running plan is never handed
+    out twice.  Plans that leave for good (evicted, too large, failed)
+    go through :meth:`retire`, which keeps their cumulative ``pool.*``
+    counters so the summed metrics never run backwards."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.nbytes = 0
+        self._idle: "collections.OrderedDict[str, List[_CachedPlan]]" = \
+            collections.OrderedDict()
+        #: every plan handed out or idle, by identity
+        self._live: Dict[int, _CachedPlan] = {}
+        self._retired: Dict[str, int] = dict.fromkeys(_POOL_TOTALS, 0)
+        self._lock = threading.Lock()
+
+    def take(self, key: str) -> Optional[_CachedPlan]:
+        """Remove and return an idle plan for *key*, or None."""
+        with self._lock:
+            plans = self._idle.get(key)
+            if not plans:
+                return None
+            entry = plans.pop()
+            if not plans:
+                del self._idle[key]
+            self.nbytes -= entry.nbytes
+            return entry
+
+    def put(self, key: str, entry: _CachedPlan) -> int:
+        """Keep *entry* as the most recent idle plan, evicting the least
+        recent ones until the budget holds; returns how many went."""
+        if entry.nbytes > self.capacity:
+            self.retire(entry)
+            return 0
+        evicted = 0
+        with self._lock:
+            while self.nbytes + entry.nbytes > self.capacity:
+                old_key, plans = next(iter(self._idle.items()))
+                old = plans.pop(0)
+                if not plans:
+                    del self._idle[old_key]
+                self.nbytes -= old.nbytes
+                self._retire_locked(old)
+                evicted += 1
+            self._idle.setdefault(key, []).append(entry)
+            self._idle.move_to_end(key)
+            self.nbytes += entry.nbytes
+            self._live[id(entry)] = entry
+        return evicted
+
+    def retire(self, entry: _CachedPlan) -> None:
+        """Drop *entry* for good, keeping its cumulative counters."""
+        with self._lock:
+            self._retire_locked(entry)
+
+    def _retire_locked(self, entry: _CachedPlan) -> None:
+        self._live.pop(id(entry), None)
+        metrics = entry.plan.pool_stats.metrics()
+        for key in _POOL_TOTALS:
+            self._retired[key] += metrics[key]
+
+    def pool_metrics(self) -> Dict[str, float]:
+        """Every live plan's ``pool.*`` stats summed, plus the
+        cumulative counters of the retired ones."""
+        with self._lock:
+            entries = list(self._live.values())
+            total: Dict[str, float] = dict.fromkeys(
+                PoolStats().metrics(), 0)
+            total.update(self._retired)
+        for entry in entries:
+            for key, value in entry.plan.pool_stats.metrics().items():
+                total[key] += value
+        return total
 
 
 @dataclasses.dataclass
@@ -188,8 +296,7 @@ class ServeService:
         self._stopped = False
         self._inflight = 0
         self._idle = threading.Condition(self._lock)
-        self._worker_local = threading.local()
-        self._pools: List[BufferPool] = []
+        self._plans = _PlanCache(PLAN_CACHE_BYTES)
         self._workers: List[threading.Thread] = []
         self._work: Deque[List[_Pending]] = collections.deque()
         self._dispatcher: Optional[threading.Thread] = None
@@ -209,10 +316,10 @@ class ServeService:
                                  name=f"serve-worker-{i}", daemon=True)
             t.start()
             self._workers.append(t)
-        # the scheduler runs with register_metrics=False under serve
-        # (parallel requests would race to overwrite the global slots),
-        # so the service installs the aggregate sources itself: the one
-        # shared cache, and the per-worker arenas summed
+        # plans run with register_metrics=False under serve (parallel
+        # requests would race to overwrite the global slots), so the
+        # service installs the aggregate sources itself: the one shared
+        # cache, and the memory plans of the service's plans summed
         registry = get_registry()
         registry.register_source("serve", self.metrics)
         registry.register_source("cache", self.cache.stats.metrics)
@@ -305,14 +412,9 @@ class ServeService:
         return out
 
     def _pool_metrics(self) -> Dict[str, float]:
-        """All worker arenas summed into one ``pool.*`` view."""
-        with self._lock:
-            pools = list(self._pools)
-        total: Dict[str, float] = {}
-        for pool in pools:
-            for key, value in pool.stats.metrics().items():
-                total[key] = total.get(key, 0) + value
-        return total
+        """The memory plans of the service's plans as one ``pool.*``
+        view."""
+        return self._plans.pool_metrics()
 
     # -- intake --------------------------------------------------------------
 
@@ -457,7 +559,7 @@ class ServeService:
             with self._lock:
                 while not self._work and not self._stopped:
                     self._work_wake.wait()
-                if self._stopped and not self._work:
+                if not self._work:
                     return
                 group = self._work.popleft()
             try:
@@ -468,15 +570,6 @@ class ServeService:
                     self._idle.notify_all()
 
     # -- execution -----------------------------------------------------------
-
-    def _arena(self) -> BufferPool:
-        pool = getattr(self._worker_local, "pool", None)
-        if pool is None:
-            pool = BufferPool()
-            self._worker_local.pool = pool
-            with self._lock:
-                self._pools.append(pool)
-        return pool
 
     def _deliver(self, pending: _Pending, status: int,
                  doc: Dict[str, Any],
@@ -517,8 +610,7 @@ class ServeService:
                       fingerprint=pending.fingerprint[:16],
                       group=len(group))
         try:
-            status, doc = self._execute(lead.body, len(group),
-                                        lead.request_id)
+            status, doc = self._execute(lead, len(group))
         except ProtocolError as exc:
             status, doc = 400, error_response("bad_request", str(exc))
             self.stats.bump("errors", len(group))
@@ -535,9 +627,10 @@ class ServeService:
         for pending in group:
             self._deliver(pending, status, doc)
 
-    def _execute(self, body: Dict[str, Any], group_size: int,
-                 lead_request_id: str = "") -> Tuple[int, Dict[str, Any]]:
-        """Plan and run one request group on this worker's warm arena.
+    def _execute(self, lead: _Pending,
+                 group_size: int) -> Tuple[int, Dict[str, Any]]:
+        """Bind and run one request group on an idle plan for its
+        structure, building the plan first on a miss.
 
         ``serve.plan``/``serve.exec`` are deliberately *top-level*
         spans in the worker thread, correlated to ``serve.request`` by
@@ -546,41 +639,54 @@ class ServeService:
         execution continues, and a child outliving its parent would
         violate the trace validator's containment rule.
         """
-        fingerprint, _ = request_fingerprint(
-            body, default_engine=self.config.engine)
+        body, fingerprint = lead.body, lead.fingerprint
+        key = plan_key(body, self.config.engine)
         with span("serve.plan", fingerprint=fingerprint[:16],
-                  group=group_size, request_id=lead_request_id):
+                  group=group_size, request_id=lead.request_id) as sp:
             data = decode_image(body.get("image"))
-            plan = plan_request(body, data)
-        engine = plan.engine if body.get("engine") else self.config.engine
-        arena = self._arena()
+            entry = self._plans.take(key)
+            built = entry is None
+            if built:
+                planned = plan_request(body, data)
+                engine = (planned.engine if body.get("engine")
+                          else self.config.engine)
+                # lint=False: the HIP3xx pass is advisory and serve has
+                # no reader for its diagnostics, so on a stream of new
+                # structures it would only add to every build
+                plan = build_plan(planned.graph, cache=self.cache,
+                                  workers=self.config.graph_workers,
+                                  engine=engine, lint=False)
+                entry = _CachedPlan(plan, planned.source, planned.output,
+                                    plan.nbytes + PLAN_ENTRY_BYTES)
+            else:
+                entry.source.set_data(data)
+            sp.attrs["plan"] = "built" if built else "hit"
+        self.stats.bump("plan_builds" if built else "plan_hits")
         with span("serve.exec", fingerprint=fingerprint[:16],
-                  engine=engine, group=group_size,
-                  request_id=lead_request_id):
+                  engine=entry.plan.engine, group=group_size,
+                  request_id=lead.request_id):
             self.stats.bump("executions")
-            # reset in finally: a failed execute/encode must still zero
-            # the per-run pool accounting, or the pool.* metrics drift
-            # after every request error
             try:
-                # lint=False: the HIP3xx pass is advisory and this
-                # graph structure replays for every request of the
-                # fingerprint — re-deriving identical diagnostics is
-                # pure warm-path cost
-                report = execute_graph(plan.graph, cache=self.cache,
-                                       workers=self.config.graph_workers,
-                                       pool=arena, engine=engine,
-                                       register_metrics=False,
-                                       lint=False)
-                result = plan.output.get_data()
-                encoded = encode_image(result)
-            finally:
-                arena.reset()
+                report = entry.plan.run(register_metrics=False)
+                encoded = encode_image(entry.output.get_data())
+            except BaseException:
+                # a plan that failed mid-run is not trusted again
+                self._plans.retire(entry)
+                raise
+        # back in the LRU before the waiters wake: the next request of
+        # this structure finds it idle whichever worker takes it
+        evicted = self._plans.put(key, entry)
+        if evicted:
+            self.stats.bump("plan_evictions", evicted)
         meta = {
             "fingerprint": fingerprint,
             "engine": report.engine_used,
+            "plan": "built" if built else "hit",
             "launches": report.launches,
             "cache_hits": report.cache_hits,
-            "compile_wall_ms": round(report.compile_wall_ms, 3),
+            # a hit compiled nothing for this request
+            "compile_wall_ms": (round(report.compile_wall_ms, 3)
+                                if built else 0.0),
             "execute_wall_ms": round(report.execute_wall_ms, 3),
             "group_size": group_size,
             "protocol": PROTOCOL_VERSION,

@@ -238,7 +238,7 @@ def test_pool_drains_after_mid_schedule_error(frame):
 
 
 def test_pool_reset_keeps_arenas_warm(frame):
-    """reset() between runs (the serve worker loop) must make the next
+    """reset() between runs (an execution plan's rerun) must make the next
     run bind entirely from the free lists: zero new arena allocations,
     fresh per-run accounting, cumulative alloc/reuse counters intact."""
     from repro.graph.pool import BufferPool

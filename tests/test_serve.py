@@ -5,8 +5,8 @@ The contract under test, per ISSUE acceptance:
 * a served request's output is **byte-identical** to executing the same
   pipeline directly through the scheduler;
 * N identical concurrent requests coalesce into **exactly one
-  execution** (proven both by counting ``execute_graph`` calls through
-  a monkeypatch and by the ``serve.dedup_hits`` metric);
+  execution** (proven both by counting ``ExecutionPlan.run`` calls
+  through a monkeypatch and by the ``serve.dedup_hits`` metric);
 * the timeout and load-shedding paths answer with their documented
   status codes and retriable markers;
 * ``/metrics`` and ``/healthz`` have the documented shape;
@@ -31,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph.scheduler import execute_graph
+from repro.graph.scheduler import ExecutionPlan, execute_graph
 from repro.serve import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -214,14 +214,13 @@ class TestDedup:
     def test_identical_concurrent_requests_execute_once(
             self, frame, monkeypatch):
         calls = []
-        real = execute_graph
+        real = ExecutionPlan.run
 
         def counting(*args, **kwargs):
             calls.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        import repro.serve.service as service_mod
-        monkeypatch.setattr(service_mod, "execute_graph", counting)
+        monkeypatch.setattr(ExecutionPlan, "run", counting)
 
         # a wide window so every submission provably lands in one batch
         svc = ServeService(ServeConfig(
@@ -290,13 +289,13 @@ class TestDedup:
 
 class TestRobustness:
     def test_timeout_answers_504(self, frame, monkeypatch):
-        import repro.serve.service as service_mod
+        real = ExecutionPlan.run
 
         def slow(*args, **kwargs):
             time.sleep(0.5)
-            return execute_graph(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(service_mod, "execute_graph", slow)
+        monkeypatch.setattr(ExecutionPlan, "run", slow)
         svc = ServeService(ServeConfig(
             workers=1, batch_window_ms=0.0, engine="sim")).start()
         try:
@@ -312,15 +311,14 @@ class TestRobustness:
 
     def test_fully_abandoned_group_is_cancelled(self, frame,
                                                 monkeypatch):
-        import repro.serve.service as service_mod
-
         calls = []
+        real = ExecutionPlan.run
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return execute_graph(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(service_mod, "execute_graph", counting)
+        monkeypatch.setattr(ExecutionPlan, "run", counting)
         # the window is far longer than the deadline: the waiter gives
         # up while its request is still queued, so the group must be
         # cancelled without ever executing
@@ -341,15 +339,14 @@ class TestRobustness:
             svc.drain(timeout=10.0)
 
     def test_queue_limit_sheds_429(self, frame, monkeypatch):
-        import repro.serve.service as service_mod
-
         release = threading.Event()
+        real = ExecutionPlan.run
 
         def blocking(*args, **kwargs):
             release.wait(timeout=10.0)
-            return execute_graph(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(service_mod, "execute_graph", blocking)
+        monkeypatch.setattr(ExecutionPlan, "run", blocking)
         svc = ServeService(ServeConfig(
             workers=1, batch_window_ms=0.0, queue_limit=2,
             engine="sim")).start()
@@ -610,6 +607,287 @@ class TestObservability:
         with pytest.raises(ServeError) as exc_info:
             client._request("GET", "/metrics?format=xml")
         assert exc_info.value.http_status == 400
+
+
+# --------------------------------------------------------------------------
+# Transport: no Nagle stall between the header and body sends
+# --------------------------------------------------------------------------
+
+
+class TestTransport:
+    def test_accepted_connections_set_tcp_nodelay(self, monkeypatch):
+        import socket
+
+        from repro.serve.server import _Handler
+
+        seen = []
+        real_setup = _Handler.setup
+
+        def spying_setup(self):
+            real_setup(self)
+            seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                                   socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", spying_setup)
+        server = create_server(port=0, config=ServeConfig(
+            workers=1, engine="sim"))
+        thread = threading.Thread(target=server.serve_forever,
+                                  daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            ServeClient(host, port, timeout=10.0).healthz()
+        finally:
+            server.service.drain(timeout=10.0)
+            server.shutdown()
+            server.server_close()
+        assert seen and all(flag != 0 for flag in seen)
+
+
+# --------------------------------------------------------------------------
+# Execution-plan cache
+# --------------------------------------------------------------------------
+
+
+#: request structures the plan-cache tests interleave
+STRUCTURES = {
+    "edge": {"pipeline": "edge"},
+    "denoise": {"pipeline": "denoise"},
+    "enhance": {"pipeline": "enhance"},
+    "chain_blur": {"chain": [{"op": "gaussian", "size": 3},
+                             {"op": "threshold", "value": 0.5}]},
+    "chain_point": {"chain": [{"op": "scale", "factor": 1.5},
+                              {"op": "add", "value": -0.25},
+                              {"op": "sobel", "axis": "y"}]},
+}
+
+
+def _direct(spec, frame, engine):
+    """The reference: a freshly planned graph through execute_graph."""
+    planned = plan_request(dict(spec, engine=engine), frame.copy())
+    execute_graph(planned.graph, engine=engine, register_metrics=False)
+    return planned.output.get_data()
+
+
+class TestPlanCache:
+    def test_second_same_structure_request_is_a_hit(self, frame,
+                                                    monkeypatch):
+        import repro.graph.scheduler as sched
+
+        # two workers: the plan is back in the shared LRU before the
+        # waiter wakes, so whichever worker takes the next request hits
+        svc = ServeService(ServeConfig(workers=2, batch_window_ms=0.0,
+                                       engine="sim")).start()
+        try:
+            status, first = svc.handle(
+                {"pipeline": "edge", "image": encode_image(frame)})
+            assert status == 200
+            assert first["meta"]["plan"] == "built"
+
+            expected = _direct({"pipeline": "edge"}, frame + 1, "sim")
+            compiles = []
+
+            def counting(*args, **kwargs):
+                compiles.append(args)
+                raise AssertionError("plan hit compiled a kernel")
+
+            monkeypatch.setattr(sched, "compile_kernel", counting)
+            monkeypatch.setattr(sched, "compile_ir", counting)
+            status, second = svc.handle(
+                {"pipeline": "edge", "image": encode_image(frame + 1)})
+            assert status == 200
+            assert second["meta"]["plan"] == "hit"
+            assert second["meta"]["compile_wall_ms"] == 0.0
+            assert compiles == []
+            assert np.array_equal(decode_image(second["image"]),
+                                  expected)
+            for i in range(3):
+                status, doc = svc.handle(
+                    {"pipeline": "edge",
+                     "image": encode_image(frame + 2 + i)})
+                assert doc["meta"]["plan"] == "hit"
+            assert compiles == []
+            metrics = svc.metrics()
+            assert metrics["serve.plan_builds"] == 1
+            assert metrics["serve.plan_hits"] == 4
+            assert metrics["serve.executions"] == 5
+        finally:
+            svc.drain(timeout=10.0)
+
+    @pytest.mark.parametrize("engine", ["sim", "auto"])
+    def test_hits_match_fresh_execution_across_evictions(
+            self, engine, monkeypatch):
+        import repro.serve.service as service_mod
+
+        # room for two plans: five interleaved structures must evict
+        monkeypatch.setattr(service_mod, "PLAN_CACHE_BYTES",
+                            3 * service_mod.PLAN_ENTRY_BYTES)
+        order = ["edge", "edge", "denoise", "edge", "enhance",
+                 "chain_blur", "chain_blur", "enhance", "chain_point",
+                 "chain_point", "edge", "denoise", "denoise"]
+        rng = np.random.default_rng(7)
+        svc = ServeService(ServeConfig(workers=1, batch_window_ms=0.0,
+                                       engine=engine)).start()
+        try:
+            plans = []
+            for name in order:
+                frame = rng.random((H, W), dtype=np.float32)
+                spec = STRUCTURES[name]
+                status, doc = svc.handle(
+                    dict(spec, image=encode_image(frame)))
+                assert status == 200, doc
+                plans.append(doc["meta"]["plan"])
+                assert np.array_equal(
+                    decode_image(doc["image"]),
+                    _direct(spec, frame, doc["meta"]["engine"])), name
+            metrics = svc.metrics()
+        finally:
+            svc.drain(timeout=10.0)
+        assert plans[:2] == ["built", "hit"]
+        assert metrics["serve.plan_hits"] == plans.count("hit") >= 4
+        assert metrics["serve.plan_builds"] == plans.count("built")
+        assert metrics["serve.plan_evictions"] > 0
+
+    def test_pool_counters_survive_evictions_and_failures(
+            self, frame, monkeypatch):
+        import repro.serve.service as service_mod
+
+        # room for one plan: alternating structures evict every time
+        monkeypatch.setattr(service_mod, "PLAN_CACHE_BYTES",
+                            2 * service_mod.PLAN_ENTRY_BYTES)
+        real = ExecutionPlan.run
+        runs = []
+
+        def failing_fourth(*args, **kwargs):
+            report = real(*args, **kwargs)
+            runs.append(1)
+            if len(runs) == 4:
+                raise RuntimeError("injected fault")
+            return report
+
+        monkeypatch.setattr(ExecutionPlan, "run", failing_fourth)
+        svc = ServeService(ServeConfig(workers=1, batch_window_ms=0.0,
+                                       engine="sim")).start()
+        totals = ("pool.allocs", "pool.reuses", "pool.releases")
+        try:
+            seen = [svc._pool_metrics()]
+            statuses = []
+            for i in range(8):
+                spec = STRUCTURES["edge" if i % 2 else "denoise"]
+                status, _ = svc.handle(
+                    dict(spec, image=encode_image(frame + i)))
+                statuses.append(status)
+                seen.append(svc._pool_metrics())
+            metrics = svc.metrics()
+        finally:
+            svc.drain(timeout=10.0)
+        assert statuses.count(500) == 1
+        assert metrics["serve.plan_evictions"] > 0
+        for before, after in zip(seen, seen[1:]):
+            for key in totals:
+                assert after[key] >= before[key], key
+        assert seen[-1]["pool.allocs"] > 0
+
+    def test_two_workers_run_one_structure_concurrently(self):
+        rng = np.random.default_rng(11)
+        svc = ServeService(ServeConfig(workers=2, batch_window_ms=150.0,
+                                       engine="sim")).start()
+        try:
+            for round_ in range(2):
+                frames = [rng.random((H, W), dtype=np.float32)
+                          for _ in range(2)]
+                results = [None, None]
+
+                def go(i):
+                    results[i] = svc.handle(
+                        {"pipeline": "edge",
+                         "image": encode_image(frames[i])})
+
+                threads = [threading.Thread(target=go, args=(i,))
+                           for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                for frame, (status, doc) in zip(frames, results):
+                    assert status == 200
+                    assert np.array_equal(
+                        decode_image(doc["image"]),
+                        _direct({"pipeline": "edge"}, frame, "sim"))
+                # one batch, two groups: each worker takes one, and a
+                # plan busy on one worker is never handed to the other
+                metrics = svc.metrics()
+                assert (metrics["serve.plan_builds"]
+                        + metrics["serve.plan_hits"] == 2 * (round_ + 1))
+                assert 1 <= metrics["serve.plan_builds"] <= 2
+        finally:
+            svc.drain(timeout=10.0)
+
+    def test_concurrent_stress_never_shares_a_running_plan(self):
+        """More workers than cores, a short switch interval and many
+        concurrent requests over two structures: every answer must
+        equal a fresh execution and every execution is exactly one
+        plan hit or one plan build."""
+        import sys
+
+        specs = [STRUCTURES["enhance"], STRUCTURES["chain_point"]]
+        rng = np.random.default_rng(13)
+        frames = [rng.random((H, W), dtype=np.float32)
+                  for _ in range(24)]
+        expected = [_direct(specs[i % 2], f, "sim")
+                    for i, f in enumerate(frames)]
+        results = [None] * len(frames)
+        svc = ServeService(ServeConfig(workers=4, batch_window_ms=0.0,
+                                       engine="sim")).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def go(i):
+                results[i] = svc.handle(dict(
+                    specs[i % 2], image=encode_image(frames[i])))
+
+            threads = [threading.Thread(target=go, args=(i,))
+                       for i in range(len(frames))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.drain(timeout=10.0)
+        for (status, doc), want in zip(results, expected):
+            assert status == 200
+            assert np.array_equal(decode_image(doc["image"]), want)
+        metrics = svc.metrics()
+        assert metrics["serve.executions"] == len(frames)
+        assert (metrics["serve.plan_hits"] + metrics["serve.plan_builds"]
+                == len(frames))
+        assert metrics["serve.plan_builds"] <= 4 * len(specs)
+
+    def test_plan_key_ignores_pixels_not_structure(self, frame):
+        from repro.serve import plan_key
+
+        body = {"pipeline": "edge", "image": encode_image(frame)}
+        key = plan_key(body)
+        assert plan_key(dict(body, image=encode_image(frame + 1))) == key
+        assert plan_key(dict(body, timeout_ms=5)) == key
+        assert plan_key(dict(body, engine="auto")) == key
+        assert plan_key(body, default_engine="sim") != key
+        assert plan_key(dict(body, pipeline="denoise")) != key
+        assert plan_key(dict(body, image=encode_image(
+            frame.astype(np.float64)))) != key
+        assert plan_key(dict(body, image=encode_image(
+            frame[:, :-1]))) != key
+
+    def test_serve_counters_are_registered(self):
+        from repro.obs.schema import SERVE_COUNTERS
+
+        svc = ServeService(ServeConfig(workers=1, engine="sim"))
+        metrics = svc.metrics()
+        for field in SERVE_COUNTERS:
+            assert f"serve.{field}" in metrics
+        assert {"serve.plan_hits", "serve.plan_builds"} <= set(metrics)
 
 
 # --------------------------------------------------------------------------
