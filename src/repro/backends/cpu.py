@@ -9,6 +9,11 @@ border strips run with exactly the side-limited index adjustments the GPU
 variants use.  Filter masks become ``static const`` arrays (the CPU's
 constant memory is its L1), and the same ``bh_*`` helpers are emitted as
 ``static inline`` functions.
+
+Transcendental intrinsics print as ``hip_round_f(exp((double)(x)))``:
+evaluate in double, round once, canonical NaN — the semantics the
+simulator implements (:mod:`repro.intrinsics`), so native output matches
+it byte for byte.  The CUDA and OpenCL emitters keep the typed spellings.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import numpy as np
 
 from ..dsl.boundary import Boundary
 from ..errors import CodegenError
-from ..ir.nodes import KernelIR
-from ..types import FLOAT
+from ..intrinsics import resolve
+from ..ir.nodes import Call, Expr, KernelIR
+from ..types import DOUBLE, FLOAT
 from .base import (
     BorderMode,
     CExprPrinter,
@@ -54,11 +60,34 @@ def cpu_common_preamble() -> List[str]:
         "#define max(a, b) ((a) > (b) ? (a) : (b))",
         "#endif",
         "",
+        "// transcendentals: evaluated in double, rounded once, NaN",
+        "// results made the canonical quiet NaN (repro.intrinsics)",
+        "static inline float hip_round_f(double v) "
+        "{ return v != v ? NAN : (float)v; }",
+        "static inline double hip_round_d(double v) "
+        "{ return v != v ? (double)NAN : v; }",
+        "",
         "// boundary index adjustment helpers",
     ]
     for name, args, body in BH_HELPERS:
         lines.append(f"static inline int {name}({args}) {{ {body} }}")
     return lines
+
+
+class CpuExprPrinter(CExprPrinter):
+    """CUDA-spelled C whose transcendental calls follow the simulator's
+    float64-round-once semantics."""
+
+    def print(self, e: Expr, parent_prec: int = 0) -> str:
+        if isinstance(e, Call):
+            intr = resolve(e.func)
+            if intr.wide:
+                args = ", ".join(f"(double)({self.print(a)})"
+                                 for a in e.args)
+                rounding = "hip_round_d" if e.type == DOUBLE \
+                    else "hip_round_f"
+                return f"{rounding}({intr.cuda_f64}({args}))"
+        return super().print(e, parent_prec)
 
 
 @dataclasses.dataclass
@@ -245,9 +274,9 @@ class CpuBackend:
         y0, y1 = region.by_lo, min(region.by_hi, geometry[1])
         if x1 <= x0 or y1 <= y0:
             return []
-        exprs = CExprPrinter("cuda",
-                             lower_read=self._lower_read(kernel, region),
-                             lower_mask=self._lower_mask(kernel))
+        exprs = CpuExprPrinter("cuda",
+                               lower_read=self._lower_read(kernel, region),
+                               lower_mask=self._lower_mask(kernel))
         stmts = CStmtPrinter(
             exprs,
             lower_write=lambda v:

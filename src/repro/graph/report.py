@@ -45,6 +45,9 @@ class NodeReport:
     #: (compiled graph segment) — per node because a hybrid native run
     #: keeps ineligible nodes on the simulator
     engine: str = "sim"
+    #: why a native/auto run kept this node on the simulator (None when
+    #: it ran native or the simulator was requested)
+    fallback_reason: Optional[str] = None
     #: the node's access footprint as derived by the abstract
     #: interpreter (``KernelIR.footprint().to_dict()`` — per-accessor
     #: read-offset hulls plus the union halo); ``None`` when the node's

@@ -340,8 +340,13 @@ class ExecutionPlan:
                 node_engine: Dict[str, str],
                 exec_wall_ms: float) -> GraphReport:
         node_reports = []
+        reasons = self.native.plan.reasons if self.native is not None \
+            else {}
         for n in self.order:
             eng = node_engine.get(n.name, "sim")
+            fallback = None
+            if eng == "sim" and self.engine != "sim":
+                fallback = reasons.get(n.name, self.fallback_reason)
             if eng == "native":
                 # native segments run for real; device time stays the
                 # *modelled* estimate so reports are engine-comparable
@@ -364,6 +369,7 @@ class ExecutionPlan:
                 wall_ms=node_wall_ms.get(n.name, 0.0),
                 stage_timings=dict(n.compiled.stage_timings),
                 engine=eng,
+                fallback_reason=fallback,
                 footprint=self.footprints[n.name],
             ))
         return GraphReport(
@@ -555,6 +561,10 @@ def execute_graph(graph: PipelineGraph,
                                 register_metrics=register_metrics)
         run_span.attrs["launches"] = report.launches
         run_span.attrs["engine_used"] = report.engine_used
+        for node in report.nodes:
+            if node.fallback_reason is not None:
+                run_span.attrs[f"fallback.{node.name}"] = \
+                    node.fallback_reason
         return report
 
 

@@ -6,6 +6,13 @@ name (``exp``), and that HIPAcc keeps the mapping in a table, emitting an
 error for unsupported functions.  ``fast_variant`` records the
 hardware-accelerated intrinsic (``__expf``) the compiler *could* select; like
 the paper we do not enable it by default.
+
+Transcendental intrinsics (``Intrinsic.wide``) have one semantics on every
+host: evaluate in float64, then round once to the result type, with a NaN
+result made the canonical quiet NaN.  The simulator implements it here (the
+caller rounds), the CPU lowering prints ``hip_round_f(f((double)a, ...))``.
+NumPy's float32 kernels change bytes with the host's SIMD tier; float64
+rounded to float32 does not, and it matches glibc's double functions.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ class Intrinsic:
     fast_variant: Optional[str] = None   # CUDA hardware-accelerated form
     result_type: Optional[ScalarType] = None  # None => follows operand type
     cost: int = 1                 # relative instruction cost (timing model)
+    wide: bool = False            # evaluated in float64, rounded once
 
     def target_name(self, backend: str, t: ScalarType) -> str:
         """Spelling of this intrinsic on *backend* for operand type *t*."""
@@ -44,7 +52,7 @@ class Intrinsic:
 
 
 def _i(name, arity, np_func, fast=None, result_type=None, cost=1,
-       cuda_f32=None, cuda_f64=None, opencl=None) -> Intrinsic:
+       cuda_f32=None, cuda_f64=None, opencl=None, wide=False) -> Intrinsic:
     return Intrinsic(
         name=name,
         arity=arity,
@@ -55,7 +63,25 @@ def _i(name, arity, np_func, fast=None, result_type=None, cost=1,
         fast_variant=fast,
         result_type=result_type,
         cost=cost,
+        wide=wide,
     )
+
+
+def _wide(name, arity, fn, fast=None, cost=1) -> Intrinsic:
+    """A transcendental: *fn* runs in float64 and every NaN it returns
+    becomes the canonical quiet NaN (its sign is up to the libm or SIMD
+    kernel that produced it); the caller rounds once to the result
+    type."""
+    def evaluate(*args):
+        result = fn(*(np.asarray(a, dtype=np.float64) for a in args))
+        nan = np.isnan(result)
+        if np.ndim(result) == 0:
+            return np.float64(np.nan) if nan else result
+        if nan.any():
+            result[nan] = np.nan
+        return result
+
+    return _i(name, arity, evaluate, fast=fast, cost=cost, wide=True)
 
 
 def _clamp(x, lo, hi):
@@ -70,25 +96,25 @@ _SFU_COST = 12
 INTRINSICS: Dict[str, Intrinsic] = {
     i.name: i
     for i in [
-        _i("exp", 1, np.exp, fast="__expf", cost=_SFU_COST),
-        _i("exp2", 1, np.exp2, fast="__exp2f", cost=_SFU_COST),
-        _i("log", 1, np.log, fast="__logf", cost=_SFU_COST),
-        _i("log2", 1, np.log2, fast="__log2f", cost=_SFU_COST),
-        _i("log10", 1, np.log10, cost=_SFU_COST),
+        _wide("exp", 1, np.exp, fast="__expf", cost=_SFU_COST),
+        _wide("exp2", 1, np.exp2, fast="__exp2f", cost=_SFU_COST),
+        _wide("log", 1, np.log, fast="__logf", cost=_SFU_COST),
+        _wide("log2", 1, np.log2, fast="__log2f", cost=_SFU_COST),
+        _wide("log10", 1, np.log10, cost=_SFU_COST),
         _i("sqrt", 1, np.sqrt, fast="__fsqrt_rn", cost=8),
         _i("rsqrt", 1, lambda x: 1.0 / np.sqrt(x), fast="__frsqrt_rn",
            cost=8),
-        _i("sin", 1, np.sin, fast="__sinf", cost=_SFU_COST),
-        _i("cos", 1, np.cos, fast="__cosf", cost=_SFU_COST),
-        _i("tan", 1, np.tan, fast="__tanf", cost=_SFU_COST + 4),
-        _i("asin", 1, np.arcsin, cost=_SFU_COST + 4),
-        _i("acos", 1, np.arccos, cost=_SFU_COST + 4),
-        _i("atan", 1, np.arctan, cost=_SFU_COST + 4),
-        _i("atan2", 2, np.arctan2, cost=_SFU_COST + 8),
-        _i("sinh", 1, np.sinh, cost=_SFU_COST + 4),
-        _i("cosh", 1, np.cosh, cost=_SFU_COST + 4),
-        _i("tanh", 1, np.tanh, cost=_SFU_COST + 4),
-        _i("pow", 2, np.power, fast="__powf", cost=2 * _SFU_COST),
+        _wide("sin", 1, np.sin, fast="__sinf", cost=_SFU_COST),
+        _wide("cos", 1, np.cos, fast="__cosf", cost=_SFU_COST),
+        _wide("tan", 1, np.tan, fast="__tanf", cost=_SFU_COST + 4),
+        _wide("asin", 1, np.arcsin, cost=_SFU_COST + 4),
+        _wide("acos", 1, np.arccos, cost=_SFU_COST + 4),
+        _wide("atan", 1, np.arctan, cost=_SFU_COST + 4),
+        _wide("atan2", 2, np.arctan2, cost=_SFU_COST + 8),
+        _wide("sinh", 1, np.sinh, cost=_SFU_COST + 4),
+        _wide("cosh", 1, np.cosh, cost=_SFU_COST + 4),
+        _wide("tanh", 1, np.tanh, cost=_SFU_COST + 4),
+        _wide("pow", 2, np.power, fast="__powf", cost=2 * _SFU_COST),
         _i("fabs", 1, np.abs, cost=1),
         _i("floor", 1, np.floor, cost=2),
         _i("ceil", 1, np.ceil, cost=2),

@@ -15,6 +15,7 @@ transforms are implemented and exposed as compiler options:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -154,20 +155,25 @@ def fold_expr(e: Expr, env: Dict[str, Expr],
                    "&": lambda a, b: a & b, "|": lambda a, b: a | b,
                    "^": lambda a, b: a ^ b}
             return _make_const(ops[e.op](int(lv), int(rv)), e.type)
-        # algebraic identities
-        if e.op == "+" and lv == 0 and is_const(e.lhs):
+        # algebraic identities.  Under IEEE 754 x + 0 is not x for
+        # x = -0.0, x - (-0.0) is x + 0, and x * 0 is not 0 for NaN,
+        # ±inf or negative x: those hold for integers only, so the
+        # generated code computes what the simulator computes
+        exact = e.type is not None and e.type.is_integer
+        if e.op == "+" and exact and lv == 0 and is_const(e.lhs):
             return e.rhs
-        if e.op == "+" and rv == 0 and is_const(e.rhs):
+        if e.op == "+" and exact and rv == 0 and is_const(e.rhs):
             return e.lhs
-        if e.op == "-" and rv == 0 and is_const(e.rhs):
+        if e.op == "-" and rv == 0 and is_const(e.rhs) \
+                and (exact or math.copysign(1.0, rv) > 0):
             return e.lhs
         if e.op == "*" and is_const(e.lhs) and lv == 1:
             return e.rhs
         if e.op == "*" and is_const(e.rhs) and rv == 1:
             return e.lhs
-        if e.op == "*" and ((is_const(e.lhs) and lv == 0) or
-                            (is_const(e.rhs) and rv == 0)):
-            if e.type is not None and not _has_side_effects(e):
+        if e.op == "*" and exact and ((is_const(e.lhs) and lv == 0) or
+                                      (is_const(e.rhs) and rv == 0)):
+            if not _has_side_effects(e):
                 return _make_const(0, e.type)
 
     if isinstance(e, Call) and all(is_const(a) for a in e.args):

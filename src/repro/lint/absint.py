@@ -613,14 +613,6 @@ class CallFact:
     func: str
     args: List[AbstractValue]
     stmt: Optional[Stmt]
-    #: the Call expression itself, so transforms can match facts back
-    #: to IR nodes by identity
-    expr: Optional[Call] = None
-
-    def singleton_arg(self, index: int) -> Optional[float]:
-        if index < len(self.args):
-            return self.args[index].singleton()
-        return None
 
 
 @dataclasses.dataclass
@@ -753,7 +745,7 @@ def interpret(ir: KernelIR) -> AbsintResult:
                                 func=name,
                                 args=[interp.eval(a, env).concrete()
                                       for a in e.args],
-                                stmt=s, expr=e))
+                                stmt=s))
                 env = _transfer_block(interp, [s], env)
 
         get_registry().count("lint.absint.runs")

@@ -88,10 +88,6 @@ def enabled() -> bool:
     return _active is not None
 
 
-def get_log() -> Optional[EventLog]:
-    return _active
-
-
 def enable(stream: Optional[TextIO] = None) -> EventLog:
     """Install a process-wide event log (default sink: stderr)."""
     global _active

@@ -12,23 +12,19 @@ the interior loop nest of each kernel exactly as the single-kernel
 **The simulator stays the oracle.**  A node joins the native tier only
 when its C lowering is provably byte-identical to the simulator.  The
 gate is *prove-based*: the abstract interpreter
-(:mod:`repro.lint.absint`) must prove
+(:mod:`repro.lint.absint`) must prove every accessor read stays inside
+its declared boundary window (and an ``undefined``-boundary accessor
+reads only the centre pixel — the C lowering does raw reads there, the
+simulator clamps).  Every intrinsic call must be in
+:data:`EXACT_INTRINSICS`: the IEEE-exact operations, plus the
+transcendentals whose float64-round-once result
+(:mod:`repro.intrinsics`) measured byte-identical between NumPy and
+glibc — ``pow`` with any exponent among them.
 
-* every accessor read stays inside its declared boundary window (and
-  an ``undefined``-boundary accessor reads only the centre pixel — the
-  C lowering does raw reads there, the simulator clamps);
-* every intrinsic call is in its bit-exact range:
-  :data:`EXACT_INTRINSICS` always are, and ``pow`` qualifies when its
-  exponent is a proven singleton in :data:`EXACT_POW_EXPONENTS`, in
-  which case the lowering strength-reduces it (``x*x``, ``sqrtf(x)``,
-  ``1/x``, ...) — NumPy special-cases exactly those exponents, so
-  ``powf`` (1-2 ULP off NumPy's SIMD polynomials) is never emitted;
-
-plus the structural conditions: no interpolated accessors (``floorf``
-resampling drifts by ULPs), no dynamic masks, no casting accessors and
-no explicit border-mode overrides.  When the interpreter itself cannot
-analyze a kernel, the old syntactic intrinsic whitelist
-(:func:`whitelist_ineligibility`) remains as the fallback gate.
+The structural conditions come on top: no interpolated accessors
+(``floorf`` resampling drifts by ULPs), no dynamic masks, no casting
+accessors and no explicit border-mode overrides.  When the interpreter
+itself cannot analyze a kernel, the node is rejected with the error.
 
 Ineligible nodes keep running through the simulator *inside* the native
 engine (the scheduler interleaves segment calls with simulator
@@ -61,34 +57,19 @@ import numpy as np
 from .. import __version__
 from ..backends.base import CodegenOptions, c_float_literal
 from ..backends.cpu import CpuBackend, CpuKernelUnit, cpu_common_preamble
-from ..cache.key import canonical_ir
 from ..cache.store import CompilationCache
 from ..dsl.image import Image
 from ..errors import CodegenError
 from ..graph.fusion import _renamed_ir
 from ..graph.pool import BufferPool, first_fit_layout
-from ..intrinsics import resolve
-from ..ir.nodes import (
-    Assign,
-    BinOp,
-    Call,
-    Expr,
-    FloatConst,
-    ForRange,
-    If,
-    KernelIR,
-    MaskRead,
-    OutputWrite,
-    Stmt,
-    VarDecl,
-)
-from ..ir.visitors import iter_all_exprs, map_exprs
+from ..ir.nodes import KernelIR, MaskRead
+from ..ir.visitors import map_exprs
 from ..obs import span
 from .native import compiler_signature, find_c_compiler, native_workdir
 
 #: bump when the emitted TU shape or the ABI of segment entry points
 #: changes — stored entries with another format are ignored
-NATIVE_GRAPH_FORMAT = 2
+NATIVE_GRAPH_FORMAT = 3
 
 #: slab row alignment in *elements* (64 bytes for float32 rows — the
 #: same padding the simulator's launch path would apply)
@@ -98,24 +79,24 @@ SLAB_ALIGNMENT = 16
 #: tenant start cache-line aligned
 _SLAB_PAD = 64
 
-#: intrinsics whose libm lowering is bit-identical to the NumPy
-#: simulator.  IEEE 754 requires correctly-rounded sqrt; fabs/floor/
-#: ceil/trunc/fmin/fmax/fmod are exact operations; min/max lower to
-#: comparison macros.  Transcendentals (exp, pow, sin, ...) are
-#: correctly rounded in *neither* library and differ by ULPs, `round`
-#: differs in tie-breaking (NumPy banker's vs C half-away), and
-#: clamp/rsqrt have no libm spelling — all excluded.
+#: intrinsics whose C lowering is byte-identical to the simulator.
+#: IEEE 754 requires correctly-rounded sqrt; fabs/floor/ceil/trunc/
+#: fmin/fmax/fmod are exact operations; min/max lower to comparison
+#: macros.  The transcendentals evaluate in double and round once on
+#: both sides, which NumPy and glibc agreed on for millions of samples
+#: each (docs/NATIVE.md; pow at exponents 0.8, 2.2 and random [-4, 4])
+#: plus the special values ±0, ±inf, NaN, subnormals, FLT_MAX and
+#: negative bases (tests/test_intrinsic_agreement.py checks it on every
+#: run).  Out:
+#: log10/asin/acos (not admitted until their agreement is measured
+#: like the others'), `round` (NumPy banker's vs C half-away ties), and
+#: clamp/rsqrt (no libm spelling).
 EXACT_INTRINSICS = frozenset({
     "sqrt", "fabs", "abs", "floor", "ceil", "trunc",
     "fmin", "fmax", "min", "max", "fmod",
+    "exp", "exp2", "log", "log2", "sin", "cos", "tan", "atan", "atan2",
+    "sinh", "cosh", "tanh", "pow",
 })
-
-#: ``pow`` exponents NumPy special-cases with exact arithmetic, each
-#: with a bit-identical C strength reduction (``pow`` with any other
-#: exponent goes through SIMD polynomials that differ from ``powf`` by
-#: ULPs — verified empirically, including that even ``powf(x, 2.0f)``
-#: does NOT match ``np.power(x, 2.0)`` while ``x*x`` does)
-EXACT_POW_EXPONENTS = frozenset({0.0, 0.5, 1.0, 2.0, -1.0})
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +105,7 @@ EXACT_POW_EXPONENTS = frozenset({0.0, 0.5, 1.0, 2.0, -1.0})
 
 
 def _structural_ineligibility(node) -> Optional[str]:
-    """The analysis-independent rejects shared by both gates."""
+    """The rejects that need no analysis."""
     if node.compiled is None:
         raise CodegenError(
             f"node {node.name!r} is not compiled; run compile_graph "
@@ -144,23 +125,6 @@ def _structural_ineligibility(node) -> Optional[str]:
     for mask in ir.masks:
         if mask.coefficients is None:
             return f"dynamic mask {mask.name!r}"
-    return None
-
-
-def whitelist_ineligibility(node) -> Optional[str]:
-    """The pre-absint gate: structural rejects plus a syntactic scan
-    for non-whitelisted intrinsics.  Kept as (a) the fallback when the
-    abstract interpreter cannot analyze a kernel and (b) the baseline
-    for CI's eligibility diff (the prove-based gate must never admit
-    fewer nodes than this one)."""
-    reason = _structural_ineligibility(node)
-    if reason is not None:
-        return reason
-    for e in iter_all_exprs(node.compiled.ir.body):
-        if isinstance(e, Call):
-            name = resolve(e.func).name
-            if name not in EXACT_INTRINSICS:
-                return f"inexact intrinsic {name!r}"
     return None
 
 
@@ -198,18 +162,8 @@ def prove_ineligibility(node) -> Optional[str]:
             return (f"unproven access: accessor {r.accessor!r} reads a "
                     f"halo under undefined boundary handling")
     for c in result.calls:
-        if c.func in EXACT_INTRINSICS:
-            continue
-        if c.func == "pow":
-            exponent = c.singleton_arg(1)
-            if exponent in EXACT_POW_EXPONENTS:
-                continue
-            shown = "unproven" if exponent is None else _fmt_bound(exponent)
-            return (f"inexact intrinsic 'pow' (exponent {shown}; only "
-                    f"proven-constant exponents "
-                    f"{sorted(EXACT_POW_EXPONENTS)} strength-reduce to "
-                    f"bit-exact forms)")
-        return f"inexact intrinsic {c.func!r}"
+        if c.func not in EXACT_INTRINSICS:
+            return f"inexact intrinsic {c.func!r}"
     return None
 
 
@@ -219,15 +173,15 @@ def native_ineligibility(node) -> Optional[str]:
     The rules are exactly the bit-exactness argument in the module
     docstring; anything rejected here runs through the simulator
     instead, keeping hybrid output byte-identical by construction.
-    The prove-based gate decides; the syntactic whitelist only answers
-    when the interpreter itself fails on the kernel.
+    A kernel the abstract interpreter cannot analyze is rejected with
+    the interpreter's error.
     """
     try:
         return prove_ineligibility(node)
     except CodegenError:
         raise
-    except Exception:
-        return whitelist_ineligibility(node)
+    except Exception as exc:
+        return f"analysis failed: {type(exc).__name__}: {exc}"
 
 
 # --------------------------------------------------------------------------
@@ -307,78 +261,11 @@ def _rename_masks(ir: KernelIR, prefix: str) -> KernelIR:
                for m in ir.masks])
 
 
-def _strength_reduce_pow(ir: KernelIR) -> KernelIR:
-    """Replace ``pow`` calls whose exponent the abstract interpreter
-    proves to be a singleton in :data:`EXACT_POW_EXPONENTS` with their
-    bit-exact forms (``1.0``, ``sqrtf(x)``, ``x``, ``x*x``, ``1/x``).
-
-    This is what makes the prove-based gate's ``pow`` admission sound:
-    the emitted C never contains ``powf`` (which is ULPs away from
-    NumPy), only operations that are IEEE-exact on both sides.  The
-    rewrite is top-down so the interpreter's fact-to-expression
-    identity map stays valid for nested calls."""
-    from ..lint.absint import interpret
-
-    exponents: Dict[int, float] = {}
-    for c in interpret(ir).calls:
-        if c.func == "pow" and c.expr is not None:
-            exponent = c.singleton_arg(1)
-            if exponent in EXACT_POW_EXPONENTS:
-                exponents[id(c.expr)] = exponent
-    if not exponents:
-        return ir
-
-    def rewrite(e: Expr) -> Expr:
-        exponent = exponents.get(id(e))
-        if exponent is not None:
-            base = rewrite(e.args[0])
-            if exponent == 0.0:
-                return FloatConst(1.0, type=e.type)
-            if exponent == 0.5:
-                return Call("sqrt", (base,), type=e.type)
-            if exponent == 1.0:
-                return base
-            if exponent == 2.0:
-                return BinOp("*", base, base, type=e.type)
-            return BinOp("/", FloatConst(1.0, type=e.type), base,
-                         type=e.type)
-        kids = e.children()
-        if not kids:
-            return e
-        new = [rewrite(k) for k in kids]
-        if all(n is k for n, k in zip(new, kids)):
-            return e
-        return e.with_children(*new)
-
-    def rewrite_stmt(s: Stmt) -> Stmt:
-        if isinstance(s, VarDecl):
-            return dataclasses.replace(s, init=rewrite(s.init))
-        if isinstance(s, Assign):
-            return dataclasses.replace(s, value=rewrite(s.value))
-        if isinstance(s, OutputWrite):
-            return dataclasses.replace(s, value=rewrite(s.value))
-        if isinstance(s, If):
-            return dataclasses.replace(
-                s, cond=rewrite(s.cond),
-                then_body=[rewrite_stmt(t) for t in s.then_body],
-                else_body=[rewrite_stmt(t) for t in s.else_body])
-        if isinstance(s, ForRange):
-            return dataclasses.replace(
-                s, start=rewrite(s.start), stop=rewrite(s.stop),
-                step=rewrite(s.step),
-                body=[rewrite_stmt(t) for t in s.body])
-        return s
-
-    return dataclasses.replace(
-        ir, body=[rewrite_stmt(s) for s in ir.body])
-
-
 def _lower_node(node, index: int) -> NodeLowering:
     """Namespace one node's IR into the shared TU and lower it."""
     prefix = f"g{index}_"
     renamed, acc_map = _renamed_ir(node.compiled.ir, prefix)
     renamed = _rename_masks(renamed, prefix)
-    renamed = _strength_reduce_pow(renamed)
     renamed = dataclasses.replace(
         renamed, name=_sanitize(f"n{index}_{node.compiled.ir.name}"))
     acc_objs = {new: node.accessor_objs[old]
@@ -593,51 +480,22 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
 # --------------------------------------------------------------------------
 
 
-def graph_fingerprint(plan: NativeGraphPlan, cc: str,
-                      openmp: bool = True) -> str:
-    """sha256 content address of the native compilation: canonical IRs,
-    topology/segments, slab layout, codegen options, compiler version.
-    Any change that could alter the emitted TU or its ABI changes the
-    fingerprint, so stale ``.so`` artifacts can never be resurrected."""
-    nodes = []
-    for lw in plan.lowerings:
-        if not lw.native:
-            continue
-        pristine = dataclasses.replace(
-            lw.ir,
-            accessors=[dataclasses.replace(a, is_read=False,
-                                           is_written=False)
-                       for a in lw.ir.accessors])
-        space = lw.node.iteration_space
-        bindings = [_canonical_binding(plan.bindings[id(img)], img)
-                    for img in ([lw.node.output]
-                                + [lw.acc_objs[a.name].image
-                                   for a in lw.ir.accessors])]
-        params = [[p.name, repr(float(p.value) if p.type.is_float
-                                else int(p.value))]
-                  for p in lw.ir.params if not p.baked]
-        nodes.append([lw.index, canonical_ir(pristine),
-                      [space.width, space.height,
-                       space.offset_x, space.offset_y],
-                      bindings, params])
+def graph_fingerprint(source: str, cc: str, openmp: bool = True) -> str:
+    """sha256 content address of the native compilation: the emitted
+    TU (every lowered node, geometry, bindings, slab offsets and baked
+    parameters are literals in it), the format, the compiler version
+    and the flags.  A change to the lowering changes the source, so a
+    stale ``.so`` can never be resurrected."""
     doc = {
         "kind": "native-graph",
         "format": NATIVE_GRAPH_FORMAT,
         "version": __version__,
         "cc": compiler_signature(cc),
         "openmp": bool(openmp),
-        "alignment": SLAB_ALIGNMENT,
-        "nodes": nodes,
-        "segments": plan.segments,
-        "slab_bytes": plan.slab_bytes,
+        "source_sha256": hashlib.sha256(source.encode()).hexdigest(),
     }
     blob = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _canonical_binding(b: BufferBinding, img: Image) -> List:
-    return [b.kind, b.index, b.offset, b.stride, img.width, img.height,
-            img.pixel_type.name]
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +594,7 @@ def compile_native_graph(graph, order=None,
                 f"{graph.name!r}: " + "; ".join(
                     f"{n}: {r}" for n, r in sorted(plan.reasons.items())))
         source = emit_graph_source(plan)
-        fingerprint = graph_fingerprint(plan, cc, openmp)
+        fingerprint = graph_fingerprint(source, cc, openmp)
         key = f"ng_{fingerprint}"
         entries = [f"repro_graph_seg{k}"
                    for k in range(len(plan.segments))]

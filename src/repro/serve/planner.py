@@ -230,9 +230,8 @@ def _plan_denoise(src: Image, opts: Dict[str, Any]) -> PipelineGraph:
 
 def _plan_enhance(src: Image, opts: Dict[str, Any]) -> PipelineGraph:
     """Contrast enhancement: scale into range, then a square-law gamma.
-    Every stage is a point op with an exactly-reducible intrinsic
-    (``pow(x, 2.0)`` lowers to ``x*x``), so the whole chain is provable
-    for the native tier."""
+    Both stages are point ops the native tier admits (``pow`` rounds
+    once from double on both engines)."""
     return _plan_chain([{"op": "scale", "factor": 0.5},
                         {"op": "gamma", "gamma": 2.0}], src, opts)
 

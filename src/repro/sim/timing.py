@@ -360,8 +360,3 @@ def _estimate_time(spec: LaunchSpec) -> TimingBreakdown:
             "backend_efficiency": backend_eff,
         },
     )
-
-
-def estimate_ms(spec: LaunchSpec) -> float:
-    """Shorthand: total estimated milliseconds."""
-    return estimate_time(spec).total_ms

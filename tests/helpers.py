@@ -264,6 +264,11 @@ def assert_native_matches_sim(build, engine="native", **run_kwargs):
         np.testing.assert_array_equal(
             ref, got,
             err_msg=f"output {i} differs between sim and {engine}")
+        # assert_array_equal treats every NaN as equal and -0.0 as 0.0;
+        # the contract is bytes
+        assert ref.tobytes() == got.tobytes(), \
+            f"output {i}: NaN or zero sign bits differ between sim and " \
+            f"{engine}"
     return nat_report
 
 

@@ -127,17 +127,39 @@ class TestConstantPropagation:
         body = [
             N.VarDecl("x", N.FloatConst(0.0)),
             N.Assign("x", N.BinOp("*", N.FloatConst(1.0),
-                                  N.BinOp("+", x, N.FloatConst(0.0)))),
+                                  N.BinOp("-", x, N.FloatConst(0.0)))),
             N.OutputWrite(N.VarRef("x")),
         ]
         k = typecheck_kernel(N.KernelIR("t", ir_pixel(), body))
         folded = propagate_constants(k)
-        # x * 1 and x + 0 simplify away: assignment becomes plain x (a
+        # x * 1 and x - 0 simplify away: assignment becomes plain x (a
         # Cast at most)
         assign = folded.body[1]
         ops = [e for e in iter_all_exprs([assign])
                if isinstance(e, N.BinOp)]
         assert not ops
+
+    @pytest.mark.parametrize("op,const", [("+", 0.0), ("+", -0.0),
+                                          ("*", 0.0), ("-", -0.0)])
+    def test_float_identities_that_ieee_breaks_stay(self, op, const):
+        # -0.0 + 0.0 is +0.0, and NaN/inf/negative x * 0.0 is not +0.0:
+        # folding these would make generated code disagree with the
+        # simulator, so only integer arithmetic takes them
+        from repro.types import INT
+
+        for pixel, zero, kept in [(ir_pixel(), N.FloatConst(const), True),
+                                  (INT, N.IntConst(0), False)]:
+            body = [
+                N.VarDecl("x", N.FloatConst(1.0) if kept
+                          else N.IntConst(1)),
+                N.Assign("x", N.BinOp(op, N.VarRef("x"), zero)),
+                N.OutputWrite(N.VarRef("x")),
+            ]
+            k = typecheck_kernel(N.KernelIR("t", pixel, body))
+            assign = propagate_constants(k).body[1]
+            ops = [e for e in iter_all_exprs([assign])
+                   if isinstance(e, N.BinOp)]
+            assert bool(ops) == kept, (op, const, pixel)
 
 
 def ir_pixel():

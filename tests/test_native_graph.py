@@ -26,11 +26,13 @@ from repro import (
     CompilationCache,
     Image,
     IterationSpace,
+    Kernel,
     Mask,
     PipelineGraph,
 )
 from repro.cli import build_edge_pipeline
 from repro.data import impulse_noise_image
+from repro.dsl.math import log10  # noqa: F401 (kernel intrinsic)
 from repro.errors import CodegenError, GraphError
 from repro.filters.gaussian import GaussianFilter, gaussian_mask_2d
 from repro.filters.point_ops import AddConstant, Scale, Threshold
@@ -39,12 +41,10 @@ from repro.graph import compile_graph, execute_graph
 from repro.runtime import native, native_graph
 from repro.runtime.native import clear_compiler_cache, find_c_compiler
 from repro.runtime.native_graph import (
-    EXACT_POW_EXPONENTS,
     NATIVE_GRAPH_FORMAT,
     compile_native_graph,
     native_ineligibility,
     plan_native_graph,
-    whitelist_ineligibility,
 )
 
 from .helpers import assert_native_matches_sim, random_image
@@ -78,6 +78,19 @@ def _sobel(space, acc_img):
                   Accessor(BoundaryCondition(acc_img, 3, 3,
                                              Boundary.CLAMP)),
                   Mask(3, 3).set(SOBEL_X))
+
+
+class Log10Kernel(Kernel):
+    """``out = log10(in + 1)``: log10 stays off the native tier, so this
+    is the stock simulator-only node of these tests."""
+
+    def __init__(self, iteration_space, inp):
+        super().__init__(iteration_space)
+        self.inp = inp
+        self.add_accessor(inp)
+
+    def kernel(self):
+        self.output(log10(self.inp(0, 0) + 1.0))
 
 
 def _simple_graph(frame):
@@ -124,26 +137,73 @@ def test_edge_example_pipeline_fully_native(native_env):
 
 
 @requires_cc
-def test_cli_edge_pipeline_is_hybrid(native_env):
-    # median -> sobel x2 -> magnitude -> scale -> gamma: fusion folds the
-    # pow() of gamma into the tail point-op node, which must stay on the
-    # simulator (pow is not bit-exact between libm and NumPy)
+def test_cli_edge_pipeline_fully_native(native_env):
+    # median -> sobel x2 -> magnitude -> scale -> gamma: the fused
+    # scale+gamma tail's pow(x, 0.8) evaluates in double and rounds once
+    # on both engines, so every node runs compiled
     def build():
         return build_edge_pipeline(48, "Tesla C2050", "cuda")
 
     report = assert_native_matches_sim(build, workers=1)
     assert report.engine_used == "native"
+    assert report.fallback_reason is None
+    assert report.native_nodes == report.launches
+    assert any("gamma" in n.name for n in report.nodes)
+
+
+def _edge_with_log10_tail(size):
+    """The CLI edge pipeline plus a log10 node on its output."""
+    g, edges = build_edge_pipeline(size, "Tesla C2050", "cuda")
+    out = _img(name="log_edges", w=size, h=size)
+    g.add_kernel(Log10Kernel(IterationSpace(out), Accessor(edges)),
+                 name="log10", device="Tesla C2050", backend="cuda")
+    g.mark_output(out)
+    return g, [edges, out]
+
+
+@requires_cc
+def test_cli_edge_pipeline_is_hybrid(native_env):
+    # log10 stays off the native tier, so that node (and only it) runs
+    # on the simulator
+    report = assert_native_matches_sim(lambda: _edge_with_log10_tail(48),
+                                       workers=1)
+    assert report.engine_used == "native"
     assert 0 < report.native_nodes < report.launches
     sim_nodes = [n for n in report.nodes if n.engine == "sim"]
-    assert sim_nodes and all("gamma" in n.name for n in sim_nodes)
+    assert sim_nodes and all("log10" in n.name for n in sim_nodes)
+
+
+@requires_cc
+def test_graph_run_span_records_fallback_nodes(native_env):
+    # a simulator fallback inside a native run shows in the trace: the
+    # graph.run span names each fallback node with its reason
+    from repro.obs import tracing
+
+    g, _ = _edge_with_log10_tail(32)
+    with tracing() as tracer:
+        report = execute_graph(g, cache=False, workers=1,
+                               engine="native")
+    (run,) = [sp for sp in tracer.spans() if sp.name == "graph.run"]
+    fallbacks = {k: v for k, v in run.attrs.items()
+                 if k.startswith("fallback.")}
+    assert fallbacks == {"fallback.log10": "inexact intrinsic 'log10'"}
+    assert report.node("log10").fallback_reason == \
+        "inexact intrinsic 'log10'"
+    assert all(n.fallback_reason is None for n in report.nodes
+               if n.engine == "native")
+
+    # a requested simulator run has no fallbacks to record
+    g, _ = build_edge_pipeline(32, "Tesla C2050", "cuda")
+    with tracing() as tracer:
+        execute_graph(g, cache=False, workers=1, engine="sim")
+    (run,) = [sp for sp in tracer.spans() if sp.name == "graph.run"]
+    assert not any(k.startswith("fallback.") for k in run.attrs)
 
 
 @requires_cc
 def test_enhance_pipeline_square_gamma_native(native_env):
-    # scale -> gamma(2.0): pow(x, 2.0) strength-reduces to x*x, which the
-    # abstract interpreter proves bit-exact — the syntactic whitelist
-    # still rejects the node, so this pins the prove-based gate widening
-    # eligibility beyond the whitelist.
+    # scale -> gamma(2.0): pow(x, 2.0) lowers like any other exponent,
+    # through double pow rounded once — no strength reduction
     from repro.serve.planner import plan_request
 
     frame = random_image(48, 48)
@@ -161,13 +221,15 @@ def test_enhance_pipeline_square_gamma_native(native_env):
     plan = plan_request({"pipeline": "enhance"}, frame)
     compile_graph(plan.graph, cache=False, workers=1)
     gamma = next(n for n in plan.graph.nodes if "gamma" in n.name)
-    wl = whitelist_ineligibility(gamma)
-    assert wl is not None and "pow" in wl
     assert native_ineligibility(gamma) is None
+    lowering = next(lw for lw in plan_native_graph(plan.graph).lowerings
+                    if lw.node is gamma)
+    assert any("hip_round_f(pow((double)" in line
+               for line in lowering.unit.func_lines)
 
 
 @requires_cc
-def test_dsa_frontend_is_hybrid(native_env):
+def test_dsa_frontend_fully_native(native_env):
     from examples.dsa_pipeline import build_frontend
 
     size = 32
@@ -185,10 +247,12 @@ def test_dsa_frontend_is_hybrid(native_env):
 
     report = assert_native_matches_sim(build, workers=1)
     assert report.engine_used == "native"
-    # subtract + median compile; the bilateral's exp() keeps it on sim
+    # subtract + median compile, and so does the bilateral: its exp()
+    # evaluates in double and rounds once on both engines
     assert report.node("subtract").engine == "native"
     assert report.node("median").engine == "native"
-    assert report.node("bilateral").engine == "sim"
+    assert report.node("bilateral").engine == "native"
+    assert report.native_nodes == report.launches
 
 
 @requires_cc
@@ -226,7 +290,7 @@ def test_multiresolution_style_chain(native_env):
 # Randomized point-op chains (same generators as the fusion suite)
 # --------------------------------------------------------------------------
 
-_OPS = st.sampled_from(["add", "scale", "threshold", "gamma"])
+_OPS = st.sampled_from(["add", "scale", "threshold", "gamma", "log10"])
 _PARAM = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False,
                    width=32)
 
@@ -240,6 +304,8 @@ def _make_op(op, param, space, acc):
         return Scale(space, acc, param, offset=0.125)
     if op == "threshold":
         return Threshold(space, acc, param)
+    if op == "log10":
+        return Log10Kernel(space, acc)
     return GammaCorrection(space, acc, abs(param) + 0.5)
 
 
@@ -250,7 +316,7 @@ def _make_op(op, param, space, acc):
        fuse=st.booleans())
 def test_randomized_point_chain_native(ops, seed, fuse):
     rng = np.random.default_rng(seed)
-    frame = rng.random((H, W), dtype=np.float32)   # [0, 1): gamma-safe
+    frame = rng.random((H, W), dtype=np.float32)
 
     def build():
         src = _img(frame, "src")
@@ -265,16 +331,16 @@ def test_randomized_point_chain_native(ops, seed, fuse):
         return g, current
 
     report = assert_native_matches_sim(build, workers=1, fuse=fuse)
-    exponents = [abs(p) + 0.5 for op, p in ops if op == "gamma"]
-    if all(e in EXACT_POW_EXPONENTS for e in exponents):
-        # add/scale/threshold always lower bit-exactly, and every
-        # gamma's pow() exponent was proven exact (strength-reduced to
-        # 1, sqrt, x, x*x or 1/x) — the whole chain runs native
+    if all(op != "log10" for op, _ in ops):
+        # add/scale/threshold lower exactly and gamma's pow() rounds
+        # once from double on both engines, whatever its exponent (a
+        # negative base gives the canonical NaN on both) — the whole
+        # chain runs native
         assert report.engine_used == "native"
         assert report.native_nodes == report.launches
     else:
-        # an inexact pow() exponent pins its node (or the whole fused
-        # chain) to the simulator; output equality held either way
+        # log10 pins its node (or the whole fused chain) to the
+        # simulator; output equality held either way
         assert report.native_nodes < report.launches
 
 
@@ -290,15 +356,19 @@ def test_native_ineligibility_reasons():
     g = PipelineGraph("elig")
     g.add_kernel(Scale(IterationSpace(a), Accessor(src), 2.0),
                  name="scale")
+    b = _img(name="b")
     from repro.filters.point_ops import GammaCorrection
-    g.add_kernel(GammaCorrection(IterationSpace(out), Accessor(a), 1.4),
+    g.add_kernel(GammaCorrection(IterationSpace(b), Accessor(a), 1.4),
                  name="gamma")
+    g.add_kernel(Log10Kernel(IterationSpace(out), Accessor(b)),
+                 name="log10")
     g.mark_output(out)
     compile_graph(g, cache=False, workers=1)
     by_name = {n.name: n for n in g.nodes}
     assert native_ineligibility(by_name["scale"]) is None
-    reason = native_ineligibility(by_name["gamma"])
-    assert reason is not None and "pow" in reason
+    assert native_ineligibility(by_name["gamma"]) is None
+    reason = native_ineligibility(by_name["log10"])
+    assert reason is not None and "log10" in reason
 
 
 def test_plan_segments_and_slab():
@@ -338,29 +408,29 @@ def test_auto_engine_without_compiler_falls_back(monkeypatch):
         assert report.engine_used == "sim"
         assert "no C compiler" in report.fallback_reason
         assert all(n.engine == "sim" for n in report.nodes)
+        assert all(n.fallback_reason == report.fallback_reason
+                   for n in report.nodes)
     finally:
         clear_compiler_cache()
 
 
 @requires_cc
 def test_native_engine_with_nothing_eligible_falls_back(native_env):
-    from repro.filters.point_ops import GammaCorrection
-
     frame = random_image(W, H, seed=9)
 
     def build():
         src = _img(frame, "src")
         out = _img(name="out")
         g = PipelineGraph("all-sim")
-        g.add_kernel(GammaCorrection(IterationSpace(out), Accessor(src),
-                                     1.3), name="gamma")
+        g.add_kernel(Log10Kernel(IterationSpace(out), Accessor(src)),
+                     name="log10")
         g.mark_output(out)
         return g, out
 
     report = assert_native_matches_sim(build, workers=1)
     assert report.engine_used == "sim"
     assert "no native-eligible nodes" in report.fallback_reason
-    assert "pow" in report.fallback_reason
+    assert "log10" in report.fallback_reason
 
 
 # --------------------------------------------------------------------------
